@@ -253,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--record-timeline",
         action="store_true",
         help="record per-step timelines into every job result "
-        "(moved/crossings per step); large results travel from pool "
-        "workers via the zero-copy shared-memory transport",
+        "(moved/crossings per step), 16 bytes a step per job, "
+        "returned from pool workers with the rest of the result",
     )
 
     sbm_p = sub.add_parser("submit", help="submit a job to a running service")
@@ -803,13 +803,8 @@ def _cmd_status(args) -> int:
     transport = payload.get("transport")
     if transport:
         print(
-            f"transport: {transport['shm_results']} shm / "
-            f"{transport['inline_results']} inline results "
-            f"({transport['shm_payload_bytes']} bytes zero-copy, "
-            f"{transport['segments_in_flight']} segment(s) in flight of "
-            f"{transport['segments_created']} created, "
-            f"{transport['segment_reclaims']} reclaimed, "
-            f"{transport['oversize_spills']} spilled)"
+            f"transport: {transport['inline_results']} results "
+            f"({transport['inline_bytes']} bytes) from pool workers"
         )
     e2e = (payload.get("latency") or {}).get("end_to_end")
     if e2e:

@@ -154,9 +154,8 @@ class PanicHook(StepHook):
             self.panic_params.validate()
 
     def fire_step(self) -> int:
-        # A swap cannot precede the first step; trigger 0 degenerates to 1,
-        # matching the legacy PanicAlarm callback's "report.step + 1 >=
-        # trigger_step" firing rule.
+        # A swap cannot precede the first step, so trigger 0 degenerates
+        # to 1: both fire before step 1 (pinned by the panic digest tests).
         return max(int(self.trigger_step), 1)
 
     def _params_for(self, configured: ModelParams) -> ModelParams:

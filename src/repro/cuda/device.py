@@ -34,7 +34,7 @@ class ComputeCapabilityLimits:
     registers_per_sm: int
     #: Register allocation granularity (registers, allocated per warp).
     register_allocation_unit: int
-    shared_memory_per_sm: int
+    shared_mem_per_sm: int
     #: Shared memory allocation granularity in bytes.
     shared_allocation_unit: int
     #: Warp allocation granularity (warps per block round up to this).
@@ -51,7 +51,7 @@ CC_20_LIMITS = ComputeCapabilityLimits(
     max_threads_per_block=1024,
     registers_per_sm=32768,
     register_allocation_unit=64,
-    shared_memory_per_sm=49152,
+    shared_mem_per_sm=49152,
     shared_allocation_unit=128,
     warp_allocation_granularity=2,
 )

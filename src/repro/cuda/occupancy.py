@@ -61,9 +61,9 @@ def occupancy(
         )
     if registers_per_thread < 0:
         raise OccupancyError("registers_per_thread must be >= 0")
-    if shared_per_block < 0 or shared_per_block > limits.shared_memory_per_sm:
+    if shared_per_block < 0 or shared_per_block > limits.shared_mem_per_sm:
         raise OccupancyError(
-            f"shared_per_block must be in [0, {limits.shared_memory_per_sm}], "
+            f"shared_per_block must be in [0, {limits.shared_mem_per_sm}], "
             f"got {shared_per_block}"
         )
 
@@ -90,7 +90,7 @@ def occupancy(
 
     if shared_per_block > 0:
         shared_alloc = _round_up(shared_per_block, limits.shared_allocation_unit)
-        by_shared = limits.shared_memory_per_sm // shared_alloc
+        by_shared = limits.shared_mem_per_sm // shared_alloc
     else:
         by_shared = by_blocks
 

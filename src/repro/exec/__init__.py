@@ -5,7 +5,8 @@
 * :class:`ExecutorPool` — persistent forkserver/spawn worker processes
   with LPT + priority scheduling, per-launch failure isolation (a
   crashed worker fails only its own batch and is respawned) and
-  future-based results;
+  future-based results, each shipped back as one pickled blob on the
+  pool's result queue;
 * :class:`LaunchWork` / :func:`execute_launch` — the declarative engine
   launch payload (per-lane configs) that the sweep runner's planned
   units and the service scheduler's micro-batches both reduce to;
@@ -21,7 +22,6 @@ but configs, so where it runs cannot change what it computes.
 """
 
 from .pool import MP_START_METHOD, ExecutorPool
-from .shm import SEGMENT_PREFIX, SHM_MAX_BYTES, SHM_THRESHOLD_BYTES
 from .work import (
     LaunchOutcome,
     LaunchWork,
@@ -32,9 +32,6 @@ from .work import (
 
 __all__ = [
     "MP_START_METHOD",
-    "SEGMENT_PREFIX",
-    "SHM_THRESHOLD_BYTES",
-    "SHM_MAX_BYTES",
     "ExecutorPool",
     "LaunchWork",
     "LaunchOutcome",

@@ -24,7 +24,7 @@ from repro.components.scenarios import (
 from repro.engine import BatchedEngine, build_engine
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments import SweepPoint, SweepRunner, named_sweep_points
-from repro.io import config_digest
+from repro.io import config_digest, engine_state_digest
 from repro.models import build_model, params_from_dict, params_from_name
 
 
@@ -154,23 +154,28 @@ class TestHookSemantics:
         assert np.array_equal(seq.moved_per_step, vec.moved_per_step)
         assert seq.throughput_total == vec.throughput_total
 
-    def test_hook_matches_legacy_panic_alarm_callback(self):
-        from repro.extensions import PanicAlarm
-
-        for trigger in (0, 1, 11):
-            cfg = _cfg(steps=24).with_model("lem")
-            alarm = PanicAlarm(trigger_step=trigger)
-            legacy = build_engine(cfg, engine="vectorized")
-            got_legacy = legacy.run(callback=alarm, record_timeline=True)
-            hooked = build_engine(
-                cfg.replace(hooks=(PanicHook(trigger_step=trigger),)),
-                engine="vectorized",
-            )
-            got_hook = hooked.run(record_timeline=True)
-            assert np.array_equal(
-                got_legacy.moved_per_step, got_hook.moved_per_step
-            )
-            assert legacy.model.params == hooked.model.params
+    @pytest.mark.parametrize(
+        "trigger, digest",
+        [
+            # Pinned from the retired run-callback panic alarm, which
+            # swapped the model after step ``trigger - 1`` completed; the
+            # hook reproduces it exactly. Trigger 0 cannot precede step 1,
+            # so it lands where trigger 1 does.
+            (0, "440ed82a95dd46c5"),
+            (1, "440ed82a95dd46c5"),
+            (11, "13daadc5a270467f"),
+        ],
+        ids=["trigger0", "trigger1", "trigger11"],
+    )
+    def test_panic_hook_state_digests_pinned(self, trigger, digest):
+        cfg = _cfg(steps=24).with_model("lem")
+        hooked = build_engine(
+            cfg.replace(hooks=(PanicHook(trigger_step=trigger),)),
+            engine="vectorized",
+        )
+        hooked.run(record_timeline=True)
+        assert engine_state_digest(hooked) == digest
+        assert hooked.model.params == panic_variant(cfg.params)
 
     @pytest.mark.parametrize("model", ["lem", "aco"])
     def test_batched_mixed_hooked_lanes_match_solo(self, model):
@@ -199,6 +204,92 @@ class TestHookSemantics:
         with pytest.raises(EngineError):
             batched.swap_lane_model(0, params_from_name("aco"))
 
+
+
+class TestPanicHookBehaviour:
+    """The Section VII panic alarm's observable effects on a crowd."""
+
+    def _cfg(self, model="lem"):
+        return SimulationConfig(
+            height=32, width=32, n_per_side=140, steps=80, seed=12
+        ).with_model(model)
+
+    def test_fires_once_at_trigger(self):
+        cfg = self._cfg()
+        hooked = build_engine(
+            cfg.replace(hooks=(PanicHook(trigger_step=20),)), "vectorized"
+        )
+        for _ in range(20):
+            hooked.step()
+        assert hooked.model.params == cfg.params
+        hooked.step()
+        panicked = hooked.model
+        assert panicked.params == panic_variant(cfg.params)
+        hooked.run(record_timeline=False)
+        # Fired once: the panicked model is never swapped out again.
+        assert hooked.model is panicked
+
+    def test_no_effect_before_trigger(self):
+        cfg = self._cfg()
+        calm = build_engine(cfg, "vectorized")
+        hooked = build_engine(
+            cfg.replace(hooks=(PanicHook(trigger_step=30),)), "vectorized"
+        )
+        for _ in range(30):
+            assert calm.step() == hooked.step()
+        assert calm.state_equals(hooked)
+        assert hooked.model.params == cfg.params
+
+    def test_changes_trajectory(self):
+        cfg = self._cfg()
+        base = build_engine(cfg, "vectorized")
+        base.run(record_timeline=False)
+        panicked = build_engine(
+            cfg.replace(hooks=(PanicHook(trigger_step=10),)), "vectorized"
+        )
+        panicked.run(record_timeline=False)
+        assert not base.env.equals(panicked.env)
+
+    def test_trigger_validation(self):
+        with pytest.raises(ConfigurationError):
+            PanicHook(trigger_step=-1).validate()
+        PanicHook(trigger_step=0).validate()
+        with pytest.raises(ConfigurationError):
+            PanicHook(trigger_step=3, panic_params="lem").validate()
+
+    def test_panicked_lem_unjams_medium_density(self):
+        """At the jamming knee, panic (always-move) raises throughput."""
+        cfg = self._cfg("lem").replace(n_per_side=90, steps=120)
+        calm = build_engine(cfg, "vectorized")
+        calm.run(record_timeline=False)
+        panicked = build_engine(
+            cfg.replace(hooks=(PanicHook(trigger_step=5),)), "vectorized"
+        )
+        panicked.run(record_timeline=False)
+        assert panicked.throughput() > calm.throughput()
+
+    def test_sequential_matches_vectorized_under_panic(self):
+        cfg = self._cfg("aco").replace(
+            n_per_side=60, steps=40, hooks=(PanicHook(trigger_step=15),)
+        )
+        seq = build_engine(cfg, "sequential")
+        vec = build_engine(cfg, "vectorized")
+        for _ in range(40):
+            assert seq.step() == vec.step()
+        assert seq.state_equals(vec)
+
+    def test_swap_to_pheromone_model_creates_field(self):
+        eng = build_engine(self._cfg("lem"), "vectorized")
+        assert eng.pher is None
+        eng.swap_model(params_from_name("aco"))
+        assert eng.pher is not None
+        eng.step()
+        eng.validate_state()
+
+    def test_swap_away_from_pheromone_drops_field(self):
+        eng = build_engine(self._cfg("aco"), "vectorized")
+        eng.swap_model(params_from_name("lem"))
+        assert eng.pher is None
 
 class TestScenarioRegistry:
     def test_families_registered(self):

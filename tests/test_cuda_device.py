@@ -40,7 +40,7 @@ class TestCC20Limits:
         assert CC_20_LIMITS.max_warps_per_sm == 48
         assert CC_20_LIMITS.warp_size == 32
         assert CC_20_LIMITS.registers_per_sm == 32768
-        assert CC_20_LIMITS.shared_memory_per_sm == 49152
+        assert CC_20_LIMITS.shared_mem_per_sm == 49152
 
     def test_warps_consistent_with_threads(self):
         assert (

@@ -1,11 +1,15 @@
-"""Tests for the Section VII future-work extensions."""
+"""Tests for the Section VII future-work extensions.
+
+The panic alarm itself is a step hook; its engine behaviour is covered
+with the component framework in ``tests/test_components.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro import SimulationConfig, build_engine
 from repro.errors import ConfigurationError
-from repro.extensions import PanicAlarm, panic_variant
+from repro.components.hooks import panic_variant
 from repro.models import ACOParams, LEMParams, RandomParams
 
 
@@ -25,75 +29,6 @@ class TestPanicVariant:
     def test_unknown_params_raise(self):
         with pytest.raises(ConfigurationError):
             panic_variant(RandomParams())
-
-
-class TestPanicAlarm:
-    def _cfg(self, model="lem"):
-        return SimulationConfig(
-            height=32, width=32, n_per_side=140, steps=80, seed=12
-        ).with_model(model)
-
-    def test_fires_once_at_trigger(self):
-        eng = build_engine(self._cfg(), "vectorized")
-        alarm = PanicAlarm(trigger_step=20)
-        eng.run(callback=alarm, record_timeline=False)
-        assert alarm.fired
-        assert alarm.fired_at == 20
-
-    def test_changes_trajectory(self):
-        base = build_engine(self._cfg(), "vectorized")
-        base.run(record_timeline=False)
-        panicked = build_engine(self._cfg(), "vectorized")
-        panicked.run(callback=PanicAlarm(trigger_step=10), record_timeline=False)
-        assert not base.env.equals(panicked.env)
-
-    def test_no_effect_before_trigger(self):
-        a = build_engine(self._cfg(), "vectorized")
-        b = build_engine(self._cfg(), "vectorized")
-        alarm = PanicAlarm(trigger_step=30)
-        for i in range(30):
-            ra = a.step()
-            alarm(b, b.step())
-            assert ra is not None
-        assert a.state_equals(b)
-        assert alarm.fired  # fires exactly at the boundary
-
-    def test_panicked_lem_unjams_medium_density(self):
-        """At the jamming knee, panic (always-move) raises throughput."""
-        cfg = self._cfg("lem").replace(n_per_side=90, steps=120)
-        calm = build_engine(cfg, "vectorized")
-        calm.run(record_timeline=False)
-        panicked = build_engine(cfg, "vectorized")
-        panicked.run(callback=PanicAlarm(trigger_step=5), record_timeline=False)
-        assert panicked.throughput() > calm.throughput()
-
-    def test_equivalence_preserved_under_panic(self):
-        cfg = self._cfg("aco").replace(n_per_side=60, steps=40)
-        seq = build_engine(cfg, "sequential")
-        vec = build_engine(cfg, "vectorized")
-        alarm_s = PanicAlarm(trigger_step=15)
-        alarm_v = PanicAlarm(trigger_step=15)
-        for _ in range(40):
-            alarm_s(seq, seq.step())
-            alarm_v(vec, vec.step())
-        assert seq.state_equals(vec)
-
-    def test_swap_to_pheromone_model_creates_field(self):
-        eng = build_engine(self._cfg("lem"), "vectorized")
-        assert eng.pher is None
-        eng.swap_model(ACOParams())
-        assert eng.pher is not None
-        eng.step()
-        eng.validate_state()
-
-    def test_swap_away_from_pheromone_drops_field(self):
-        eng = build_engine(self._cfg("aco"), "vectorized")
-        eng.swap_model(LEMParams())
-        assert eng.pher is None
-
-    def test_trigger_validation(self):
-        with pytest.raises(ConfigurationError):
-            PanicAlarm(trigger_step=-1)
 
 
 class TestHeterogeneousSpeeds:
