@@ -12,6 +12,7 @@ the solo loop on such a grid while producing bit-identical records.
 """
 
 import os
+import statistics
 import time
 
 import pytest
@@ -20,6 +21,9 @@ from repro.experiments.sweep import SweepRunner, sweep_grid
 
 #: Six distinct scenario populations (24..152 total agents at quick scale).
 SCENARIOS = (1, 2, 3, 4, 5, 6)
+
+#: Interleaved solo/padded wall-clock pairs per model.
+REPEATS = 5
 
 
 def _points(model):
@@ -48,21 +52,19 @@ def test_bench_padded_sweep_beats_solo_loop(benchmark, model):
     ]
 
     # End-to-end walls, both including planning and engine construction.
-    # Best-of-2 per side filters one-off scheduler spikes on shared runners.
+    # Solo and padded runs alternate so a slow spell of a shared machine
+    # hits both sides; the median ratio of the pairs ignores one-off
+    # scheduler spikes in either direction.
     def wall(runner):
-        best = float("inf")
-        for _ in range(2):
-            t0 = time.perf_counter()
-            runner.run(points)
-            best = min(best, time.perf_counter() - t0)
-        return best
+        t0 = time.perf_counter()
+        runner.run(points)
+        return time.perf_counter() - t0
 
-    solo_wall = wall(solo_runner)
-    padded_wall = wall(padded_runner)
+    ratios = [wall(solo_runner) / wall(padded_runner) for _ in range(REPEATS)]
 
     benchmark.pedantic(padded_runner.run, args=(points,), rounds=1, iterations=1)
     # The padded plan must beat the solo loop by a clear margin. The
-    # observed gain is ~2x; the assert demands 1.5x locally but only
+    # observed gain is ~3x; the assert demands 1.5x locally but only
     # parity on CI, where shared-runner noise is out of our hands.
     margin = 1.0 if os.environ.get("CI") else 1.5
-    assert padded_wall * margin < solo_wall
+    assert statistics.median(ratios) > margin, ratios

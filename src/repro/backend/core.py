@@ -55,11 +55,9 @@ __all__ = [
 class ScratchArena:
     """Keyed reusable step-loop buffers — the allocation-free hot path.
 
-    The engines' per-step temporaries (the shift gather buffer, the
-    conflict count/rank maps, clipped index matrices) have a fixed shape
-    for the lifetime of an engine; allocating them fresh every step costs
-    an allocator round-trip per array on NumPy and allocator traffic on
-    the GPU critical path on CuPy. An arena hands the same buffer back on
+    A step loop's fixed-shape temporaries, allocated fresh every step,
+    cost an allocator round-trip per array on NumPy and allocator traffic
+    on the GPU critical path on CuPy. An arena hands the same buffer back on
     every :meth:`take` for a given key, so a steady-state step performs
     zero allocating dispatches for those temporaries (the cold first call
     per key is one counted ``xp.empty``).
@@ -67,9 +65,9 @@ class ScratchArena:
     Contract: a taken buffer's contents are **undefined** — the caller
     must fully overwrite it (``buf.fill(...)`` or complete slice writes)
     before reading, and must not let it escape the stage that took it.
-    Keys are arbitrary strings; an engine owns its arena (built once via
+    Keys are arbitrary strings; each owner builds its own arena (via
     :meth:`ArrayBackend.scratch_arena`), so keys never collide across
-    engines. Buffers grow capacity-style: a request larger than the
+    owners. Buffers grow capacity-style: a request larger than the
     cached buffer reallocates, a smaller one returns a leading-slice
     view, so occasionally-variable shapes (e.g. per-step contested-cell
     counts) stop allocating once the high-water mark is reached.
@@ -196,13 +194,13 @@ class ArrayBackend:
     def scratch_arena(self) -> ScratchArena:
         """A fresh :class:`ScratchArena` bound to this backend's namespace.
 
-        Each engine builds its own arena at construction, so scratch keys
-        never collide across engines; on a
+        Each owner builds its own arena, so scratch keys never collide
+        across owners; on a
         :class:`~repro.backend.profiling.ProfilingBackend` the arena's
         cold allocations route through the counting namespace while warm
         hits cost nothing — which is exactly what the ``allocs`` budget
-        measures. The ``out=``-capable namespace ops the engines pair
-        with the arena (``clip``, ``minimum``, ``maximum``, ``stack``)
+        measures. The ``out=``-capable namespace ops that pair with the
+        arena (``clip``, ``minimum``, ``maximum``, ``stack``)
         carry identical semantics on NumPy and CuPy.
         """
         return ScratchArena(self.xp)

@@ -63,6 +63,8 @@ class BatchedTiledEngine(BatchedEngine):
         self.tiles = TileDecomposition(self.h_max, self.w_max, tile_size)
         #: Constant-memory tour-increment table, resident on the device.
         self._step_costs = self.backend.from_host(np.asarray(ABS_STEP_COSTS))
+        #: Lane index broadcast over a tile, for the per-lane future gathers.
+        self._bidx = self.xp.arange(self.n_lanes)[:, None, None]
 
     # ------------------------------------------------------------------
     # Stage 1: per-tile initial calculation (all lanes per tile)

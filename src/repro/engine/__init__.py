@@ -7,7 +7,7 @@ from .batched import (
     BatchedTimedResult,
     run_batched,
 )
-from .conflict import DIRECTION_INDEX, shift, winner_rank
+from .conflict import DIRECTION_INDEX, winner_rank
 from .sequential import SequentialEngine
 from .simulation import (
     TimedRunResult,
@@ -33,7 +33,6 @@ __all__ = [
     "run_batched",
     "ABS_STEP_COSTS",
     "DIRECTION_INDEX",
-    "shift",
     "winner_rank",
     "available_engines",
     "build_engine",

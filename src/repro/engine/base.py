@@ -9,7 +9,11 @@ Every engine executes the paper's kernel sequence each step:
    forward if the front cell is empty, else the model's probabilistic rule;
 3. **agent movement**: per *empty cell*, gather the agents that target it,
    pick one winner uniformly (the scatter-to-gather transform), execute the
-   moves, update tours, pheromones and crossing bookkeeping;
+   moves, update tours, pheromones and crossing bookkeeping. The whole-array
+   engines find the contested cells by sorting the movers by destination
+   (:class:`~repro.engine.conflict.SparseGather`), so the stage costs in
+   proportion to the agents; the tiled engines keep the paper's dense
+   per-cell gather over each tile's shared-memory halo;
 4. **support**: reset the scan matrix and the future coordinates.
 
 Engines differ only in *how* the stages execute (Python loops, whole-array
@@ -91,11 +95,6 @@ class RunResult:
     moved_per_step: Optional[np.ndarray]
     crossings_per_step: Optional[np.ndarray]
 
-    @property
-    def total_agents(self) -> int:
-        """Total moved+unmoved population implied by the run (for ratios)."""
-        return self.throughput_total  # pragma: no cover - legacy alias
-
 
 class BaseEngine(abc.ABC):
     """Common state construction and the step/run template."""
@@ -111,9 +110,6 @@ class BaseEngine(abc.ABC):
         self.backend = resolve_backend(config.backend)
         require_float64(self.backend)
         self.xp = self.backend.xp
-        #: Per-engine scratch arena: reusable step-loop buffers keyed by
-        #: stage-local names (see ScratchArena's overwrite contract).
-        self.scratch = self.backend.scratch_arena()
         self.rng = PhiloxKeyedRNG(self.seed, backend=self.backend)
         self.model = build_model(config.params, backend=self.backend)
 

@@ -22,7 +22,7 @@ config and seed — the property ``tests/test_engine_batched.py`` pins down
 trajectory-for-trajectory, now over mixed-scenario batches too.
 
 Batching wins because a small-grid simulation step is dominated by the
-fixed overhead of its ~50 NumPy kernel dispatches; fusing ``B``
+fixed overhead of its ~40 NumPy kernel dispatches; fusing ``B``
 replications into one dispatch sequence amortises that overhead ``B``
 ways (see ``benchmarks/test_bench_batched_sweep.py`` for same-shape lanes
 and ``benchmarks/test_bench_padded_sweep.py`` for padded mixed-scenario
@@ -44,13 +44,12 @@ from ..config import SimulationConfig
 from ..errors import EngineError
 from ..grid import offsets_array
 from ..grid.environment import Environment
-from ..grid.neighborhood import ABSOLUTE_OFFSETS
 from ..models import build_model
 from ..models.pheromone import deposit_at, evaporate_field, group_slot
 from ..rng import BatchedPhiloxRNG, RaggedLaneRNG, Stream
 from ..types import CellState, Group
-from .base import ABS_STEP_COSTS, RunResult, require_float64
-from .conflict import shift, winner_rank
+from .base import RunResult, require_float64
+from .conflict import SparseGather
 from .warmstate import cached_dist_stack, cached_placement
 
 __all__ = [
@@ -232,9 +231,6 @@ class BatchedEngine:
         self.backend = resolve_backend(rep_cfg.backend)
         require_float64(self.backend)
         xp = self.xp = self.backend.xp
-        #: Per-engine scratch arena for the fixed-shape step temporaries
-        #: (see ScratchArena's overwrite contract).
-        self.scratch = self.backend.scratch_arena()
         self.rng = BatchedPhiloxRNG(seeds, backend=self.backend)
         self.model = build_model(rep_cfg.params, backend=self.backend)
         self.t = 0
@@ -373,10 +369,7 @@ class BatchedEngine:
             else None
         )
 
-        rows_idx, cols_idx = xp.indices((self.h_max, self.w_max))
-        self._rowgrid = rows_idx.astype(np.int64)
-        self._colgrid = cols_idx.astype(np.int64)
-        self._bidx = xp.arange(self.n_lanes)[:, None, None]
+        self._gather = SparseGather(self.backend, size, self.h_max, self.w_max)
 
         # Paper-modification flag, per lane (host bool short-circuits the
         # per-step branch without a device sync).
@@ -619,7 +612,7 @@ class BatchedEngine:
         return xp.bincount(rep[valid], minlength=self.n_lanes)
 
     # ------------------------------------------------------------------
-    # Stage 3: movement (per-cell scatter-to-gather, all lanes)
+    # Stage 3: movement (sparse scatter-to-gather, all lanes)
     # ------------------------------------------------------------------
     def _stage_move(self, t: int) -> np.ndarray:
         xp = self.xp
@@ -632,71 +625,26 @@ class BatchedEngine:
                 for _params, _model, lanes in self._param_groups:
                     self.pher.evaporate_lanes(lanes, _params)
 
-        # Padding cells are never empty (obstacle sentinel), so neither the
-        # destination set nor the candidate gathers can leave a lane's real
-        # grid region.
-        empty = self.mats == 0
-        # Fixed-shape per-step temporaries come from the engine's scratch
-        # arena: zero allocating dispatches once warm, identical contents
-        # (every buffer is fully overwritten before it is read).
-        counts = self.scratch.take_filled(
-            "mv.counts", (self.n_lanes, self.h_max, self.w_max), np.int16, 0
+        # Padding cells are never empty (obstacle sentinel), so no move can
+        # leave a lane's real grid region. Cell lanes use each replication's
+        # *real* width so the winner draw matches the solo engine's
+        # ``Environment.cell_lane`` keying.
+        moves = self._gather(
+            self.future_rows,
+            self.future_cols,
+            self.rows,
+            self.cols,
+            self.mats,
+            lambda b, r, c: self.rng.uniform_at(
+                Stream.MOVE_WINNER,
+                t,
+                b,
+                r.astype(np.uint64) * self._widths_u64[b] + c.astype(np.uint64),
+            ),
         )
-        nbuf = self.scratch.take("mv.shift", self.index.shape, self.index.dtype)
-        matches: List[np.ndarray] = []
-        for dr, dc in ABSOLUTE_OFFSETS:
-            nidx = shift(self.index, dr, dc, fill=0, xp=xp, out=nbuf)
-            fr = self.future_rows[self._bidx, nidx]
-            fc = self.future_cols[self._bidx, nidx]
-            match = empty & (nidx > 0) & (fr == self._rowgrid) & (fc == self._colgrid)
-            matches.append(match)
-            counts += match
-        con_b, con_r, con_c = xp.nonzero(counts > 0)
-        if con_b.size == 0:
+        if moves is None:
             return moved
-
-        # Cell lanes use each replication's *real* width so the winner draw
-        # matches the solo engine's ``Environment.cell_lane`` keying.
-        cell_lanes = con_r.astype(np.uint64) * self._widths_u64[con_b] + con_c.astype(
-            np.uint64
-        )
-        u = self.rng.uniform_at(Stream.MOVE_WINNER, t, con_b, cell_lanes)
-        pick = winner_rank(u, counts[con_b, con_r, con_c], xp=xp)
-        pickmap = self.scratch.take_filled(
-            "mv.pickmap", (self.n_lanes, self.h_max, self.w_max), np.int64, -1
-        )
-        pickmap[con_b, con_r, con_c] = pick
-
-        cum = self.scratch.take_filled(
-            "mv.cum", (self.n_lanes, self.h_max, self.w_max), np.int16, 0
-        )
-        lane_parts: List[np.ndarray] = []
-        dst_rows: List[np.ndarray] = []
-        dst_cols: List[np.ndarray] = []
-        agents: List[np.ndarray] = []
-        cost_runs: List[Tuple[float, int]] = []
-        for d, (dr, dc) in enumerate(ABSOLUTE_OFFSETS):
-            match = matches[d]
-            sel = match & (cum == pickmap)
-            cum += match
-            bb, rr, cc = xp.nonzero(sel)
-            if bb.size:
-                lane_parts.append(bb)
-                dst_rows.append(rr)
-                dst_cols.append(cc)
-                agents.append(self.index[bb, rr + dr, cc + dc].astype(np.int64))
-                cost_runs.append((ABS_STEP_COSTS[d], int(bb.size)))
-        bs = xp.concatenate(lane_parts)
-        dst_r = xp.concatenate(dst_rows)
-        dst_c = xp.concatenate(dst_cols)
-        winners = xp.concatenate(agents)
-        # Per-direction costs are constants, so the cost vector is built by
-        # slice fills into one scratch run instead of 8 fulls + concatenate.
-        move_cost = self.scratch.take("mv.cost", (int(winners.size),), np.float64)
-        o = 0
-        for cost, size in cost_runs:
-            move_cost[o : o + size] = cost
-            o += size
+        bs, winners, dst_r, dst_c = moves.lane, moves.agent, moves.row, moves.col
         src_r = self.rows[bs, winners]
         src_c = self.cols[bs, winners]
 
@@ -708,7 +656,7 @@ class BatchedEngine:
         self.index[bs, src_r, src_c] = 0
         self.rows[bs, winners] = dst_r
         self.cols[bs, winners] = dst_c
-        self.tour[bs, winners] += move_cost
+        self.tour[bs, winners] += moves.cost
 
         if self.pher is not None:
             # Fused deposit: one scatter into the (2, B, H, W) stack covers

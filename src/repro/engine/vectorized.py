@@ -1,26 +1,28 @@
 """Whole-array data-parallel engine — the GPU stand-in.
 
-Each NumPy array lane plays the role of one CUDA thread: the scan and tour
-construction stages vectorize over agents (the paper launches 8x agents
-threads for tour construction; we fuse the 8 slot lanes into the trailing
-axis), and the movement stage vectorizes over grid cells exactly like the
-paper's per-cell movement kernel. All stages read only the synchronous
+Each NumPy array lane plays the role of one CUDA thread. Every stage
+vectorizes over agents, so a step costs in proportion to the population,
+not the grid: the scan and tour construction stages run one row per agent
+(the paper launches 8x agents threads for tour construction; we fuse the 8
+slot lanes into the trailing axis), and the movement stage resolves the
+paper's per-cell gather by sorting the movers by destination cell
+(:class:`~repro.engine.conflict.SparseGather`), which picks the same
+winners as a pass over every cell. All stages read only the synchronous
 state from the start of the step, so the semantics match a kernel launch
 boundary.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..agents.population import NO_FUTURE
 from ..rng import Stream
 from ..types import Group
-from .base import ABS_STEP_COSTS, BaseEngine
-from ..grid.neighborhood import ABSOLUTE_OFFSETS
-from .conflict import shift, winner_rank
+from .base import BaseEngine
+from .conflict import SparseGather
 
 __all__ = ["VectorizedEngine"]
 
@@ -32,10 +34,9 @@ class VectorizedEngine(BaseEngine):
 
     def __init__(self, config, seed: Optional[int] = None) -> None:
         super().__init__(config, seed)
-        h, w = self.env.shape
-        rows, cols = self.xp.indices((h, w))
-        self._rowgrid = rows.astype(np.int64)
-        self._colgrid = cols.astype(np.int64)
+        self._gather = SparseGather(
+            self.backend, self.pop.n_agents + 1, *self.env.shape
+        )
 
     # ------------------------------------------------------------------
     # Stage 1: initial calculation (per-agent scan)
@@ -110,68 +111,28 @@ class VectorizedEngine(BaseEngine):
         return xp.count_nonzero(valid)
 
     # ------------------------------------------------------------------
-    # Stage 3: movement (per-cell scatter-to-gather)
+    # Stage 3: movement (sparse scatter-to-gather over the movers)
     # ------------------------------------------------------------------
     def _stage_move(self, t: int) -> int:
-        xp = self.xp
         env, pop = self.env, self.pop
-        h, w = env.shape
         mat, index = env.mat, env.index
 
         if self.pher is not None:
             self.pher.evaporate()
 
-        empty = mat == 0
-        # Fixed-shape per-step temporaries come from the engine's scratch
-        # arena: zero allocating dispatches once warm, identical contents
-        # (every buffer is fully overwritten before it is read).
-        counts = self.scratch.take_filled("mv.counts", (h, w), np.int16, 0)
-        nbuf = self.scratch.take("mv.shift", index.shape, index.dtype)
-        matches: List[np.ndarray] = []
-        for dr, dc in ABSOLUTE_OFFSETS:
-            nidx = shift(index, dr, dc, fill=0, xp=xp, out=nbuf)
-            fr = pop.future_rows[nidx]  # sentinel row 0 carries NO_FUTURE
-            fc = pop.future_cols[nidx]
-            match = empty & (nidx > 0) & (fr == self._rowgrid) & (fc == self._colgrid)
-            matches.append(match)
-            counts += match
-        contested_r, contested_c = xp.nonzero(counts > 0)
-        if contested_r.size == 0:
+        moves = self._gather(
+            pop.future_rows,
+            pop.future_cols,
+            pop.rows,
+            pop.cols,
+            mat,
+            lambda _lane, r, c: self.rng.uniform(
+                Stream.MOVE_WINNER, t, env.cell_lane(r, c)
+            ),
+        )
+        if moves is None:
             return 0
-
-        lanes = env.cell_lane(contested_r, contested_c)
-        u = self.rng.uniform(Stream.MOVE_WINNER, t, lanes)
-        pick = winner_rank(u, counts[contested_r, contested_c], xp=xp)
-        pickmap = self.scratch.take_filled("mv.pickmap", (h, w), np.int64, -1)
-        pickmap[contested_r, contested_c] = pick
-
-        # Second pass over the gather directions: the candidate whose
-        # cumulative rank equals the cell's pick wins.
-        cum = self.scratch.take_filled("mv.cum", (h, w), np.int16, 0)
-        dst_rows = []
-        dst_cols = []
-        agents = []
-        cost_runs = []
-        for d, (dr, dc) in enumerate(ABSOLUTE_OFFSETS):
-            match = matches[d]
-            sel = match & (cum == pickmap)
-            cum += match
-            rr, cc = xp.nonzero(sel)
-            if rr.size:
-                dst_rows.append(rr)
-                dst_cols.append(cc)
-                agents.append(index[rr + dr, cc + dc].astype(np.int64))
-                cost_runs.append((ABS_STEP_COSTS[d], int(rr.size)))
-        dst_r = xp.concatenate(dst_rows)
-        dst_c = xp.concatenate(dst_cols)
-        winners = xp.concatenate(agents)
-        # Per-direction costs are constants, so the cost vector is built by
-        # slice fills into one scratch run instead of 8 fulls + concatenate.
-        move_cost = self.scratch.take("mv.cost", (int(winners.size),), np.float64)
-        o = 0
-        for cost, size in cost_runs:
-            move_cost[o : o + size] = cost
-            o += size
+        winners, dst_r, dst_c = moves.agent, moves.row, moves.col
         src_r = pop.rows[winners]
         src_c = pop.cols[winners]
 
@@ -183,7 +144,7 @@ class VectorizedEngine(BaseEngine):
         index[src_r, src_c] = 0
         pop.rows[winners] = dst_r
         pop.cols[winners] = dst_c
-        pop.tour[winners] += move_cost
+        pop.tour[winners] += moves.cost
 
         if self.pher is not None:
             # Fused deposit: one scatter into the (2, H, W) stack covers

@@ -2,38 +2,11 @@
 
 import numpy as np
 
-from repro.engine import DIRECTION_INDEX, shift, winner_rank
+from repro.agents.population import NO_FUTURE
+from repro.backend import resolve_backend
+from repro.engine import ABS_STEP_COSTS, DIRECTION_INDEX, winner_rank
+from repro.engine.conflict import SparseGather
 from repro.grid import ABSOLUTE_OFFSETS
-
-
-class TestShift:
-    def test_identity(self):
-        arr = np.arange(12).reshape(3, 4)
-        assert np.array_equal(shift(arr, 0, 0), arr)
-
-    def test_reads_neighbor(self):
-        arr = np.arange(12).reshape(3, 4)
-        out = shift(arr, 1, 0)
-        # out[i,j] = arr[i+1,j]
-        assert np.array_equal(out[0], arr[1])
-        assert np.array_equal(out[1], arr[2])
-
-    def test_fill_outside(self):
-        arr = np.ones((3, 3), dtype=np.int32)
-        out = shift(arr, -1, 0, fill=9)
-        assert np.all(out[0] == 9)
-        assert np.all(out[1:] == 1)
-
-    def test_diagonal(self):
-        arr = np.arange(9).reshape(3, 3)
-        out = shift(arr, 1, 1)
-        assert out[0, 0] == arr[1, 1]
-        assert out[2, 2] == 0  # filled
-
-    def test_large_shift_all_fill(self):
-        arr = np.ones((2, 2), dtype=np.int64)
-        out = shift(arr, 5, 0, fill=-3)
-        assert np.all(out == -3)
 
 
 class TestWinnerRank:
@@ -66,3 +39,94 @@ class TestDirectionIndex:
     def test_indices_match_sweep_order(self):
         for d, off in enumerate(ABSOLUTE_OFFSETS):
             assert DIRECTION_INDEX[off] == d
+
+
+def _dense_gather(mats, index, future_rows, future_cols, draw):
+    """Reference per-cell gather: every empty cell reads its eight
+    neighbours in ``ABSOLUTE_OFFSETS`` order and picks one candidate."""
+    lanes, h, w = mats.shape
+    out = []
+    for b in range(lanes):
+        for r in range(h):
+            for c in range(w):
+                if mats[b, r, c] != 0:
+                    continue
+                cands = []
+                for d, (dr, dc) in enumerate(ABSOLUTE_OFFSETS):
+                    sr, sc = r + dr, c + dc
+                    if not (0 <= sr < h and 0 <= sc < w):
+                        continue
+                    a = index[b, sr, sc]
+                    if a and (future_rows[b, a], future_cols[b, a]) == (r, c):
+                        cands.append((a, d))
+                if cands:
+                    u = draw(np.array([b]), np.array([r]), np.array([c]))
+                    a, d = cands[int(winner_rank(u, np.array([len(cands)]))[0])]
+                    out.append((a, b, r, c, ABS_STEP_COSTS[d]))
+    return out
+
+
+def _random_state(seed, lanes=3, h=7, w=9, density=0.4):
+    """Random occupancy with futures: each agent targets a random
+    neighbour (in or out of bounds, empty or not) or stays put."""
+    gen = np.random.default_rng(seed)
+    n = int(density * h * w)
+    slots = n + 1
+    mats = np.zeros((lanes, h, w), dtype=np.int8)
+    index = np.zeros((lanes, h, w), dtype=np.int32)
+    rows = np.zeros((lanes, slots), dtype=np.int64)
+    cols = np.zeros((lanes, slots), dtype=np.int64)
+    fr = np.full((lanes, slots), NO_FUTURE, dtype=np.int64)
+    fc = np.full((lanes, slots), NO_FUTURE, dtype=np.int64)
+    for b in range(lanes):
+        cells = gen.choice(h * w, size=n, replace=False)
+        for a, cell in enumerate(cells, start=1):
+            r, c = divmod(int(cell), w)
+            mats[b, r, c], index[b, r, c] = 1, a
+            rows[b, a], cols[b, a] = r, c
+            dr, dc = ABSOLUTE_OFFSETS[gen.integers(8)]
+            if gen.random() < 0.8 and 0 <= r - dr < h and 0 <= c - dc < w:
+                fr[b, a], fc[b, a] = r - dr, c - dc
+    return mats, index, rows, cols, fr, fc
+
+
+class TestSparseGather:
+    @staticmethod
+    def _draw(b, r, c):
+        return ((b * 31 + r * 7 + c * 3) % 97 + 0.5) / 97.0
+
+    def test_matches_dense_gather(self):
+        for seed in range(10):
+            mats, index, rows, cols, fr, fc = _random_state(seed)
+            lanes, h, w = mats.shape
+            gather = SparseGather(resolve_backend("numpy"), rows.shape[1], h, w)
+            moves = gather(fr, fc, rows, cols, mats, self._draw)
+            got = list(
+                zip(
+                    moves.agent.tolist(),
+                    moves.lane.tolist(),
+                    moves.row.tolist(),
+                    moves.col.tolist(),
+                    moves.cost.tolist(),
+                )
+            )
+            assert got == _dense_gather(mats, index, fr, fc, self._draw)
+
+    def test_solo_arrays_are_the_one_lane_case(self):
+        mats, index, rows, cols, fr, fc = _random_state(3, lanes=1)
+        gather = SparseGather(resolve_backend("numpy"), rows.shape[1], *mats.shape[1:])
+        solo = gather(fr[0], fc[0], rows[0], cols[0], mats[0], self._draw)
+        stacked = gather(fr, fc, rows, cols, mats, self._draw)
+        for a, b in zip(solo, stacked):
+            assert np.array_equal(a, b)
+        assert not solo.lane.any()
+
+    def test_occupied_destinations_gather_nothing(self):
+        mats, index, rows, cols, fr, fc = _random_state(5, lanes=1)
+        occupied = fr.copy()
+        # Point every mover at its own (occupied) cell.
+        has = fr != NO_FUTURE
+        occupied[has] = rows[has]
+        fc2 = np.where(has, cols, NO_FUTURE)
+        gather = SparseGather(resolve_backend("numpy"), rows.shape[1], *mats.shape[1:])
+        assert gather(occupied, fc2, rows, cols, mats, self._draw) is None

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import SimulationConfig, build_engine
-from repro.engine import shift, winner_rank
+from repro.engine import winner_rank
 from repro.grid import DistanceTable
 from repro.models import fast_pow
 from repro.models.mathops import fast_pow_scalar
@@ -81,22 +81,6 @@ class TestNumericProperties:
 
 
 class TestShiftProperties:
-    @given(
-        h=st.integers(1, 12),
-        w=st.integers(1, 12),
-        dr=st.integers(-3, 3),
-        dc=st.integers(-3, 3),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_shift_matches_bruteforce(self, h, w, dr, dc):
-        arr = np.arange(h * w, dtype=np.int64).reshape(h, w) + 1
-        out = shift(arr, dr, dc, fill=0)
-        for i in range(h):
-            for j in range(w):
-                si, sj = i + dr, j + dc
-                expected = arr[si, sj] if 0 <= si < h and 0 <= sj < w else 0
-                assert out[i, j] == expected
-
     @given(
         u=st.floats(0.0, 1.0, exclude_max=True),
         k=st.integers(1, 8),

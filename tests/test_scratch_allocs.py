@@ -1,4 +1,4 @@
-"""Per-step allocation budgets: the scratch arena must stay in use.
+"""Per-step allocation budgets: the step loop must stay allocation-lean.
 
 Companion to ``tests/test_dispatch_budget.py``, measuring *allocating*
 dispatches per steady-state step (namespace calls that return a fresh
@@ -28,14 +28,16 @@ PRE_ARENA = {
     "padded4": 60.0,
 }
 
-#: Post-arena budgets: measured allocs/step plus headroom for drift.
-#: batched4's 30 is the PR-10 acceptance ceiling, not just headroom.
+#: Post-arena budgets: measured allocs/step plus headroom for drift. The
+#: whole-array engines were re-measured after the move stage became a
+#: sort-based sparse gather (vectorized 16, batched4/padded4 17
+#: allocs/step) and carry ~20% headroom over those counts.
 ALLOC_BUDGETS = {
     "sequential": 8,
-    "vectorized": 32,
+    "vectorized": 20,
     "tiled": 155,
-    "batched4": 30,
-    "padded4": 30,
+    "batched4": 21,
+    "padded4": 21,
 }
 
 PROFILE_NAME = "profile:numpy"
